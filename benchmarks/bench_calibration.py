@@ -14,18 +14,19 @@ predictions against the run via
   executable CNN) against the measured span-tree wall seconds;
 - the ``op_seconds{op_type}`` per-operator histogram each run records.
 
-``BENCH_calibration.json`` is the committed ``trace/v2`` envelope so
-future PRs gate on calibration *drift*: ``--check OLD.json`` re-runs
-the workload and fails if any shared predicted/observed ratio moved
-past its gate (:data:`~repro.explain.calibration.MEMORY_DRIFT_GATE` /
-:data:`~repro.explain.calibration.RUNTIME_DRIFT_GATE`) or any fresh
-memory ratio left the band. The committed result file is intentionally
-tracked in git: it is the calibration record, not a scratch artifact.
+The run itself asserts that every plan completes and every memory
+ratio sits inside the band. ``BENCH_calibration.json`` is the
+committed ``trace/v2`` envelope that CI gates calibration *drift*
+against: a fresh envelope fails ``repro report --slo slo/default.yaml
+FRESH --baseline BENCH_calibration.json`` if any shared
+predicted/observed ratio moved past its two-sided drift rule. The
+committed result file is intentionally tracked in git: it is the
+calibration record, not a scratch artifact.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_calibration.py [--quick]
-        [--records N] [--check OLD.json] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_calibration.py
+        [--records N] [--out PATH]
 """
 
 from __future__ import annotations
@@ -36,22 +37,12 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from harness import (  # noqa: E402
-    load_envelope,
-    print_table,
-    trace_payload,
-    write_results,
-)
+from harness import print_table, trace_payload, write_results  # noqa: E402
 
 from repro.cnn import build_model  # noqa: E402
 from repro.core.config import VistaConfig  # noqa: E402
 from repro.data import foods_dataset  # noqa: E402
-from repro.explain.calibration import (  # noqa: E402
-    MEMORY_DRIFT_GATE,
-    RUNTIME_DRIFT_GATE,
-    calibrate,
-    drift_violations,
-)
+from repro.explain.calibration import calibrate  # noqa: E402
 from repro.memory.model import GB, MemoryBudget  # noqa: E402
 
 RESULT_PATH = os.path.join(
@@ -93,35 +84,9 @@ def run_calibration(records):
     )
 
 
-def check_drift(report, baseline_path):
-    """Gate a fresh report against a committed envelope; returns the
-    number of violations (0 = pass)."""
-    old_results = load_envelope(baseline_path, bench="calibration")["results"]
-    failures = 0
-    band = report.in_band()
-    for key, ratio in sorted(band.items()):
-        print(f"OUT OF BAND  memory_ratio {key} = {ratio}")
-        failures += 1
-    drift = drift_violations(old_results, report.results())
-    for key, (old, new) in sorted(drift.items()):
-        print(f"DRIFT        {key}: {old} -> {new}")
-        failures += 1
-    if failures == 0:
-        print(
-            f"calibration gate PASS vs {baseline_path} "
-            f"(memory gate {MEMORY_DRIFT_GATE}x, "
-            f"runtime gate {RUNTIME_DRIFT_GATE}x)"
-        )
-    return failures
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="skip writing the result file")
     parser.add_argument("--records", type=int, default=24)
-    parser.add_argument("--check", metavar="OLD.json", default=None,
-                        help="gate on drift vs a committed envelope")
     parser.add_argument("--out", default=RESULT_PATH,
                         help="result path (default: BENCH_calibration.json)")
     args = parser.parse_args(argv)
@@ -167,25 +132,16 @@ def main(argv=None):
         "some plan produced no runtime ratios"
     )
 
-    if args.check:
-        failures = check_drift(report, args.check)
-        if failures:
-            print(f"\ncalibration gate FAIL: {failures} violation(s)")
-            return 1
-
-    if not args.quick:
-        payload = trace_payload(
-            "calibration", report.results(),
-            records=args.records, num_nodes=NUM_NODES,
-            cores_per_node=CORES_PER_NODE, cpu=CPU,
-            num_partitions=NUM_PARTITIONS, layers=list(LAYERS),
-            model=report.model,
-            memory_drift_gate=MEMORY_DRIFT_GATE,
-            runtime_drift_gate=RUNTIME_DRIFT_GATE,
-        )
-        payload["report"] = report.to_dict()
-        write_results(args.out, payload)
-        print(f"\nwrote {args.out}")
+    payload = trace_payload(
+        "calibration", report.results(),
+        records=args.records, num_nodes=NUM_NODES,
+        cores_per_node=CORES_PER_NODE, cpu=CPU,
+        num_partitions=NUM_PARTITIONS, layers=list(LAYERS),
+        model=report.model,
+    )
+    payload["report"] = report.to_dict()
+    write_results(args.out, payload)
+    print(f"\nwrote {args.out}")
     return 0
 
 

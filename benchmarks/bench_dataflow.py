@@ -17,11 +17,12 @@ and reads every number back out of the exported trace spans:
   pickles. The buffer must be smaller, and its per-row size is
   recorded as the ``serialized_bytes_per_row`` gauge — the encode is
   deterministic (fixed seed, raw little-endian buffers), so the
-  committed value is compared *exactly* by the report CLI's
-  ``EXACT_FIELDS`` gate: any byte of wire-format drift flips CI.
+  committed value is compared *exactly* by the
+  ``exact-serialized-bytes-per-row`` rules in ``slo/default.yaml``:
+  any byte of wire-format drift flips CI.
 - End-to-end plan walls for both layouts ride along as the perf
   trajectory (cross-machine CI gates them at 3x like the other
-  benches).
+  benches, through ``repro report --slo``).
 
 The committed ``BENCH_dataflow.json`` is the shared ``trace/v2``
 envelope (span tree + metrics block) and is intentionally tracked in
@@ -151,9 +152,8 @@ def bench_plans(records, tracer):
                 entry["row_wall_seconds"] / entry["columnar_wall_seconds"]
             )
             if columnar_feature > 0:
-                # "gain", not "speedup": the report CLI auto-gates any
-                # *speedup field higher-is-better, and this ratio is
-                # built from sub-millisecond spans — too noisy for a
+                # Not gated against the baseline: this ratio is built
+                # from sub-millisecond spans — too noisy for a
                 # cross-machine quick-vs-full gate. The full-mode run
                 # asserts the floor itself instead.
                 entry["feature_inference_gain"] = (

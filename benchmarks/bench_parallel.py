@@ -8,25 +8,27 @@ both execution backends via
   each ``cpu`` (the curve Algorithm 1's knob is supposed to buy — the
   serial engine's ``cpu`` only ever changed accounting),
 - the cost model's predicted inference seconds against the *actual
-  parallel* wall (``runtime_ratio_capacity:parallel:cpu{n}``) — the
+  parallel* wall (``runtime_ratio:parallel:cores{n}:cpu{c}``) — the
   calibration the serial engine could never provide, which is what let
-  :data:`~repro.explain.calibration.RUNTIME_DRIFT_GATE` tighten from
-  100x to its measured band.
+  the runtime drift rule in ``slo/default.yaml`` tighten from 100x to
+  its measured band.
 
-``BENCH_parallel.json`` is the committed ``trace/v2`` envelope.
-Wall-clock speedups are hardware-dependent, so the envelope records
-``cores_available`` honestly and ``--check`` compares it exactly: a
-baseline committed from a 1-core container never silently gates a
-multi-core CI run (capacity drift is only gated when the core counts
-match). Independently of any baseline, the run **asserts the >=1.5x
-speedup floor at cpu=4 on the staged plan whenever the host actually
-has >= 4 cores** — on smaller hosts the floor is reported as skipped,
-because forking cannot beat serial without parallel hardware.
+``BENCH_parallel.json`` is the committed ``trace/v2`` envelope that CI
+gates a fresh run against with ``repro report --slo slo/default.yaml
+FRESH --baseline BENCH_parallel.json``. Wall-clock speedups are
+hardware-dependent, so every result key carries the host's
+``cores_available``: a baseline committed from a 1-core container
+shares no key with a multi-core CI run, and the drift rules skip
+instead of comparing unlike hardware. Independently of any baseline,
+the run **asserts the >=1.5x speedup floor at cpu=4 on the staged plan
+whenever the host actually has >= 4 cores** — on smaller hosts the
+floor is reported as skipped, because forking cannot beat serial
+without parallel hardware.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py [--quick]
-        [--records N] [--repeats N] [--check OLD.json] [--out PATH]
+        [--records N] [--repeats N] [--out PATH]
 """
 
 from __future__ import annotations
@@ -37,21 +39,12 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from harness import (  # noqa: E402
-    load_envelope,
-    print_table,
-    trace_payload,
-    write_results,
-)
+from harness import print_table, trace_payload, write_results  # noqa: E402
 
 from repro.cnn import build_model  # noqa: E402
 from repro.core.config import VistaConfig  # noqa: E402
 from repro.data import foods_dataset  # noqa: E402
-from repro.explain.calibration import (  # noqa: E402
-    RUNTIME_DRIFT_GATE,
-    calibrate_parallel,
-    drift_violations,
-)
+from repro.explain.calibration import calibrate_parallel  # noqa: E402
 from repro.memory.model import GB, MemoryBudget  # noqa: E402
 
 RESULT_PATH = os.path.join(
@@ -100,35 +93,6 @@ def run_parallel_calibration(records, cpus, repeats):
     )
 
 
-def check_drift(report, baseline_path):
-    """Gate a fresh report against a committed envelope; returns the
-    number of violations (0 = pass)."""
-    old_results = load_envelope(baseline_path, bench="parallel")["results"]
-    new_results = report.results()
-    old_cores = old_results.get("cores_available")
-    if old_cores != new_results["cores_available"]:
-        # Different hardware: the capacity ratios are incomparable by
-        # construction. The exact field caught it — report and pass.
-        print(
-            f"parallel gate SKIP vs {baseline_path}: baseline recorded "
-            f"cores_available={old_cores}, this host has "
-            f"{new_results['cores_available']}; capacity ratios are "
-            "not comparable across core counts"
-        )
-        return 0
-    failures = 0
-    drift = drift_violations(old_results, new_results)
-    for key, (old, new) in sorted(drift.items()):
-        print(f"DRIFT        {key}: {old} -> {new}")
-        failures += 1
-    if failures == 0:
-        print(
-            f"parallel gate PASS vs {baseline_path} "
-            f"(runtime gate {RUNTIME_DRIFT_GATE}x)"
-        )
-    return failures
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -138,8 +102,6 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=None,
                         help="process-backend attempts per cpu, best wall "
                              "kept (default 3, 1 with --quick)")
-    parser.add_argument("--check", metavar="OLD.json", default=None,
-                        help="gate on drift vs a committed envelope")
     parser.add_argument("--out", default=RESULT_PATH,
                         help="result path (default: BENCH_parallel.json)")
     args = parser.parse_args(argv)
@@ -202,12 +164,6 @@ def main(argv=None):
               f"(cores_available={report.cores_available} < "
               f"{FLOOR_MIN_CORES}, or --quick)")
 
-    if args.check:
-        failures = check_drift(report, args.check)
-        if failures:
-            print(f"\nparallel gate FAIL: {failures} violation(s)")
-            return 1
-
     # Baseline-refresh decision (recorded in the envelope so the CI
     # `parallel` job can act on it mechanically): only an envelope
     # measured on real parallel hardware is worth committing as the
@@ -239,7 +195,6 @@ def main(argv=None):
             model=report.model, plan=report.plan,
             speedup_floor=SPEEDUP_FLOOR, floor_cpu=FLOOR_CPU,
             floor_min_cores=FLOOR_MIN_CORES,
-            runtime_drift_gate=RUNTIME_DRIFT_GATE,
             baseline_refresh=baseline_refresh,
         )
         payload["report"] = report.to_dict()

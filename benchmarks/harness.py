@@ -167,23 +167,6 @@ def committed_bench_path(bench):
     )
 
 
-def load_envelope(path, bench=None):
-    """Load a BENCH_*.json envelope, validating its schema tag (and,
-    when given, that it records the expected bench)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    schema = payload.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ValueError(
-            f"{path}: schema {schema!r}, expected {TRACE_SCHEMA!r}"
-        )
-    if bench is not None and payload.get("bench") != bench:
-        raise ValueError(
-            f"{path}: bench {payload.get('bench')!r}, expected {bench!r}"
-        )
-    return payload
-
-
 def find_span(trace_root, name):
     """First node matching ``name`` (prefix match) in an exported
     trace dict; raises KeyError if absent."""

@@ -10,10 +10,7 @@ of those predictions against measured spans and waterlines.
 from repro.explain.calibration import (
     CalibrationReport,
     CalibrationRow,
-    MEMORY_DRIFT_GATE,
-    RUNTIME_DRIFT_GATE,
     calibrate,
-    drift_violations,
 )
 from repro.explain.ledger import ExplainResult, explain
 from repro.explain.peaks import peak_ratios, predict_workload_peaks
@@ -28,13 +25,10 @@ __all__ = [
     "CalibrationReport",
     "CalibrationRow",
     "ExplainResult",
-    "MEMORY_DRIFT_GATE",
     "PIN_KEYS",
-    "RUNTIME_DRIFT_GATE",
     "VERDICT_FEASIBLE",
     "WhatIfReport",
     "calibrate",
-    "drift_violations",
     "explain",
     "peak_ratios",
     "predict_workload_peaks",

@@ -19,7 +19,8 @@ deterministic (exact charge arithmetic on deterministic synthetic
 data) and must sit inside
 :data:`repro.costmodel.params.PEAK_PREDICTION_BAND`; runtime ratios
 depend on the host, so the committed baseline gates on *drift* of the
-ratio between runs, not its absolute value.
+ratio between runs, not its absolute value (the two-sided drift rules
+in ``slo/default.yaml``).
 """
 
 from __future__ import annotations
@@ -100,18 +101,17 @@ class CalibrationReport:
         }
 
     def results(self):
-        """Flat scalar map for a trace/v2 ``results`` block. Keys carry
-        the ``capacity`` marker so ``repro report --compare`` treats
-        them as informational; the calibration drift gate
-        (:func:`drift_violations`) owns their comparison semantics."""
+        """Flat scalar map for a trace/v2 ``results`` block, keyed
+        ``memory_ratio:<plan>:<region>`` / ``runtime_ratio:<plan>:
+        <stage>`` for the SLO drift rules to select by glob."""
         flat = {}
         for row in self.rows:
             for region, ratio in row.memory_ratios.items():
                 if ratio is not None:
-                    flat[f"memory_ratio_capacity:{row.plan}:{region}"] = ratio
+                    flat[f"memory_ratio:{row.plan}:{region}"] = ratio
             for stage, ratio in row.runtime_ratios.items():
                 if ratio is not None:
-                    flat[f"runtime_ratio_capacity:{row.plan}:{stage}"] = ratio
+                    flat[f"runtime_ratio:{row.plan}:{stage}"] = ratio
         flat["plans_run"] = len(self.rows)
         flat["plans_crashed"] = sum(1 for row in self.rows if row.crashed)
         return flat
@@ -126,47 +126,6 @@ class CalibrationReport:
                 if ratio is not None and not (low <= ratio <= high):
                     violations[f"{row.plan}:{region}"] = ratio
         return violations
-
-
-#: Drift gates: memory ratios are deterministic, runtime ratios divide
-#: a deterministic prediction by measured spans whose wall-clock noise
-#: dominates — hence the asymmetric tolerances. The runtime gate was
-#: 100x while the engine was serial-only (the cost model's parallelism
-#: term was unvalidatable, so the gate was a placeholder); with the
-#: process backend actually parallelizing waves, back-to-back
-#: calibration runs were measured to drift well under 10x even on
-#: noisy shared hosts, so the gate now sits at a measured band with
-#: headroom instead of a formality.
-MEMORY_DRIFT_GATE = 1.05
-RUNTIME_DRIFT_GATE = 25.0
-
-
-def drift_violations(old_results, new_results,
-                     memory_gate=MEMORY_DRIFT_GATE,
-                     runtime_gate=RUNTIME_DRIFT_GATE):
-    """Calibration drift between two :meth:`CalibrationReport.results`
-    maps: ``{key: (old, new)}`` for every shared ratio whose relative
-    change exceeds its gate. Empty dict means the cost model still
-    predicts like the committed baseline."""
-    violations = {}
-    for key, old in old_results.items():
-        new = new_results.get(key)
-        if new is None or not isinstance(old, (int, float)):
-            continue
-        if key.startswith("memory_ratio"):
-            gate = memory_gate
-        elif key.startswith("runtime_ratio"):
-            gate = runtime_gate
-        else:
-            continue
-        if old <= 0 or new <= 0:
-            if old != new:
-                violations[key] = (old, new)
-            continue
-        change = max(old / new, new / old)
-        if change > gate:
-            violations[key] = (old, new)
-    return violations
 
 
 def _observed_stages(trace):
@@ -351,22 +310,19 @@ class ParallelCalibrationReport:
         }
 
     def results(self):
-        """Flat scalars for a trace/v2 ``results`` block. Wall-clock
-        fields and their ratios carry the ``capacity`` marker (host-
-        dependent; :func:`drift_violations` owns their comparison),
-        while ``cores_available`` is compared exactly — a speedup
-        recorded on a single-core host must never silently gate a
-        multi-core run's curve."""
+        """Flat scalars for a trace/v2 ``results`` block. Every
+        wall-clock field and ratio is keyed by the host's core count
+        (``speedup:cores<n>:cpu<c>``): a baseline recorded on a
+        different core count shares no key with this run, so the SLO
+        drift rules skip it instead of comparing unlike hardware."""
+        cores = f"cores{self.cores_available}"
         flat = {"cores_available": self.cores_available}
         for row in self.rows:
-            flat[f"speedup_capacity:cpu{row.cpu}"] = row.speedup
-            flat[f"process_feature_s_capacity:cpu{row.cpu}"] = (
-                row.process_feature_s
-            )
+            cell = f"{cores}:cpu{row.cpu}"
+            flat[f"speedup:{cell}"] = row.speedup
+            flat[f"process_feature_s:{cell}"] = row.process_feature_s
             if row.parallel_ratio is not None:
-                flat[f"runtime_ratio_capacity:parallel:cpu{row.cpu}"] = (
-                    row.parallel_ratio
-                )
+                flat[f"runtime_ratio:parallel:{cell}"] = row.parallel_ratio
         return flat
 
 

@@ -1,18 +1,16 @@
 """The declarative SLO/gate engine.
 
-Until now every regression gate in the repo was bespoke code: the
-kernels bench asserts its 3.0× speedup floor inline, the calibration
-bench hard-codes its 1.05×/25× drift gates, ``report --compare`` keeps
-an ``EXACT_FIELDS`` tuple for bit-exact fields. This module turns all
-of them into *data*: a ruleset is a list of
+Every regression gate in the repo is *data*: a ruleset is a list of
 
     {name, metric, comparator, threshold, severity, against, required}
 
 rules evaluated against any target — a ``trace/v2`` bench/run envelope
 or an ``obs/v1`` run ledger — optionally relative to a baseline of the
-same shape. The committed ``slo/default.yaml`` re-expresses the
-existing gates declaratively; ``repro report --slo RULES TARGET``
-evaluates and exits nonzero on breach.
+same shape. The committed ``slo/default.yaml`` holds every CI gate:
+bench floors and overhead budgets, per-metric drift bounds against the
+committed ``BENCH_*.json`` records (each rule names its metric and its
+direction), bit-exact fields, and ledger health. ``repro report --slo
+RULES TARGET [--baseline OLD]`` evaluates and exits 1 on breach.
 
 Rule grammar
 ------------
@@ -20,25 +18,29 @@ Rule grammar
 
 - ``results.<dotted.path>`` / ``params.<dotted.path>`` — traverse the
   envelope's ``results``/``params`` block. A path segment applied to a
-  *list of rows* maps over the rows; the aggregators ``max``, ``min``,
-  ``sum``, ``mean``, ``count``, ``last`` reduce a list; a segment
-  containing ``*`` matches dict keys by glob and yields the sub-dict
-  of matches (compared elementwise).
-- ``series:<name>{label=value,…}.peak|last`` — resolve metric series
-  via :func:`repro.metrics.find_series`; multiple matching series
-  yield a dict keyed by their sorted labels (compared elementwise).
+  *list of rows* maps over the rows, keeping each row's position (rows
+  without the field hold a gap), so the selection compares element by
+  element against the baseline row at the same position; the
+  aggregators ``max``, ``min``, ``sum``, ``mean``, ``count``, ``last``
+  reduce a list; a segment containing ``*`` matches dict keys by glob
+  and yields the sub-dict of matches (compared elementwise).
+- ``series:<name>{label=value,…}.peak|last|sum`` — resolve metric
+  series via :func:`repro.metrics.find_series` (``last`` is a
+  counter's total, ``sum`` a histogram's sum); multiple matching
+  series yield a dict keyed by their sorted labels (compared
+  elementwise).
 - ``ledger.count`` / ``ledger.count:<kind>`` / ``ledger.parse_errors``
   / ``ledger.schema_problems`` — ledger stream facts.
 
 ``comparator`` is one of ``<= < >= > == !=`` and ``threshold`` the
 bound. ``against`` is ``value`` (default: compare the resolved value),
-``baseline-ratio`` (compare ``target/baseline``, the drift-gate shape)
-or ``baseline-equal`` (compare the *count of mismatches* against the
-baseline — the EXACT_FIELDS shape, normally ``<= 0``). ``severity``
-``breach`` (default) fails the gate; ``warn`` only reports. A rule
-whose metric is absent in the target is *skipped*, not breached — one
-committed ruleset evaluates against envelopes of any bench — unless
-``required: true``.
+``baseline-ratio`` (compare ``target/baseline`` per element, the drift
+shape; a two-sided drift bound is two rules) or ``baseline-equal``
+(compare the *count of mismatches* against the baseline, normally
+``<= 0``, for bit-exact fields). ``severity`` ``breach`` (default)
+fails the gate; ``warn`` only reports. A rule whose metric is absent
+in the target is *skipped*, not breached — one committed ruleset
+evaluates against envelopes of any bench — unless ``required: true``.
 
 Rulesets load from JSON or from a small flat YAML subset (top-level
 ``rules:`` list of ``- key: value`` maps) parsed here directly, so the
@@ -77,8 +79,16 @@ AGGREGATORS = {
 _SERIES_RE = re.compile(
     r"^series:(?P<name>[^{.]+)"
     r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\.(?P<reducer>peak|last)$"
+    r"\.(?P<reducer>peak|last|sum)$"
 )
+
+#: Series reducers: gauge watermark, end state (a counter's total),
+#: histogram sum.
+SERIES_REDUCERS = {
+    "peak": series_peak,
+    "last": series_last,
+    "sum": lambda series: series.get("sum"),
+}
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,7 @@ class Verdict:
     """Outcome of one rule against one target."""
 
     rule: SloRule
-    #: The compared value (worst element for dict selections); None
+    #: The compared value (worst element for dict/list selections); None
     #: when the rule was skipped.
     value: object = None
     #: True = pass, False = fail, None = skipped (metric absent).
@@ -340,7 +350,7 @@ def _resolve_series(spec, source):
     series = find_series(metrics, match.group("name"), **labels)
     if not series:
         return None
-    reducer = series_peak if match.group("reducer") == "peak" else series_last
+    reducer = SERIES_REDUCERS[match.group("reducer")]
     if len(series) == 1:
         return reducer(series[0])
     return {
@@ -364,10 +374,10 @@ def _resolve_path(value, path):
                 values = [v for v in value if v is not None]
                 return AGGREGATORS[segment](values) if values else None
             mapped = [
-                item.get(segment) for item in value
-                if isinstance(item, dict) and segment in item
+                item.get(segment) if isinstance(item, dict) else None
+                for item in value
             ]
-            value = mapped if mapped else None
+            value = mapped if any(v is not None for v in mapped) else None
         elif isinstance(value, dict):
             if "*" in segment or "?" in segment:
                 matches = {
@@ -431,7 +441,13 @@ def _evaluate_rule(rule, source, base_source):
 
 
 def _as_items(value):
-    return value.items() if isinstance(value, dict) else [("", value)]
+    """``(key, element)`` pairs of a selection: dict entries, list
+    rows keyed by position (gaps dropped), or one unkeyed scalar."""
+    if isinstance(value, dict):
+        return value.items()
+    if isinstance(value, list):
+        return [(f"[{i}]", v) for i, v in enumerate(value) if v is not None]
+    return [("", value)]
 
 
 def _compare(rule, value):
@@ -451,7 +467,7 @@ def _compare(rule, value):
         return Verdict(
             rule, value=shown, ok=False, details=dict(failing),
             note=(f"{len(failing)} element(s) violate"
-                  if isinstance(value, dict) else ""),
+                  if isinstance(value, (dict, list)) else ""),
         )
     return Verdict(rule, value=worst, ok=True)
 
@@ -490,9 +506,10 @@ def _compare_ratio(rule, value, base):
                            note="no comparable baseline elements")
         return Verdict(rule, ok=None,
                        note="no comparable baseline elements; skipped")
-    verdict = _compare(rule, ratios if len(ratios) > 1 else
-                       next(iter(ratios.values())))
-    verdict.note = (verdict.note + " (target/baseline ratio)").strip()
+    verdict = _compare(rule, ratios.get("", ratios))
+    verdict.note = "; ".join(
+        filter(None, (verdict.note, "target/baseline ratio"))
+    )
     return verdict
 
 
@@ -541,7 +558,8 @@ def render_slo(verdicts, title="SLO evaluation"):
         )
         for key, detail in sorted(verdict.details.items()):
             if verdict.ok is False:
-                lines.append(f"           {key or rule.metric}: {detail}")
+                label = rule.metric + key if key[:1] in ("", "[") else key
+                lines.append(f"           {label}: {detail}")
     breaches = sum(1 for v in verdicts if v.status == "breach")
     warns = sum(1 for v in verdicts if v.status == "warn")
     passes = sum(1 for v in verdicts if v.status == "pass")

@@ -9,6 +9,7 @@ for all six plans; and the calibration report's ratios gate cleanly
 against themselves."""
 
 import json
+import os
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.data import foods_dataset
 from repro.dataflow.context import ClusterContext
 from repro.explain import (
     calibrate,
-    drift_violations,
     explain,
     peak_ratios,
     predict_workload_peaks,
@@ -36,7 +36,13 @@ from repro.explain.whatif import (
 )
 from repro.memory.model import GB, MemoryBudget
 from repro.metrics import MetricsRegistry, find_series, series_last
-from repro.report import compare, has_regression, render_explain
+from repro.observe import evaluate_slo, has_breach, load_rules
+from repro.report import render_explain
+
+DEFAULT_RULES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "slo", "default.yaml",
+)
 
 FOODS = DatasetStats(20_000, 130, 14 * 1024)
 AMAZON = DatasetStats(200_000, 200, 15 * 1024)
@@ -249,6 +255,18 @@ class TestPeakPrediction:
         assert checked >= 3, f"{plan_name}: too few regions observed"
 
 
+def _drift(new, old):
+    return evaluate_slo(load_rules(DEFAULT_RULES), new, baseline=old)
+
+
+def _drift_statuses(old_results, new_results):
+    return {
+        v.rule.name: v.status for v in _drift(
+            {"results": new_results}, {"results": old_results}
+        )
+    }
+
+
 class TestCalibration:
     def test_report_gates_cleanly_against_itself(self):
         cnn, dataset, config, budget = _mini_workload()
@@ -263,17 +281,29 @@ class TestCalibration:
         results = report.results()
         assert results["plans_run"] == len(ALL_PLANS)
         assert results["plans_crashed"] == 0
-        assert drift_violations(results, results) == {}
+        envelope = {"results": results}
+        assert not has_breach(_drift(envelope, envelope))
 
     def test_drift_violations_flag_large_moves(self):
-        old = {"memory_ratio_capacity:staged:user": 1.0,
-               "runtime_ratio_capacity:staged:train": 100.0}
-        drifted = {"memory_ratio_capacity:staged:user": 1.5,
-                   "runtime_ratio_capacity:staged:train": 150.0}
-        violations = drift_violations(old, drifted)
-        assert "memory_ratio_capacity:staged:user" in violations
+        old = {"memory_ratio:staged:user": 1.0,
+               "runtime_ratio:staged:train": 100.0}
+        drifted = {"memory_ratio:staged:user": 1.5,
+                   "runtime_ratio:staged:train": 150.0}
+        statuses = _drift_statuses(old, drifted)
+        assert statuses["calibration-memory-drift"] == "breach"
         # runtime moved only 1.5x: inside the loose runtime gate
-        assert "runtime_ratio_capacity:staged:train" not in violations
+        assert statuses["calibration-runtime-drift"] == "pass"
+
+    def test_drift_is_two_sided(self):
+        """A ratio that halves is as much drift as one that doubles."""
+        old = {"memory_ratio:staged:user": 1.0,
+               "runtime_ratio:staged:train": 100.0}
+        shrunk = {"memory_ratio:staged:user": 0.5,
+                  "runtime_ratio:staged:train": 3.0}
+        statuses = _drift_statuses(old, shrunk)
+        assert statuses["calibration-memory-drift"] == "pass"
+        assert statuses["calibration-memory-drift-low"] == "breach"
+        assert statuses["calibration-runtime-drift-low"] == "breach"
 
     def test_op_seconds_histogram_recorded(self):
         cnn, dataset, config, budget = _mini_workload()
@@ -309,22 +339,27 @@ class TestPlanChoiceGate:
                  metrics=registry)
         return registry.export()
 
+    def _plan_choice_verdict(self, new, old):
+        (verdict,) = [
+            v for v in evaluate_slo(
+                load_rules(DEFAULT_RULES), {"metrics": new},
+                baseline={"metrics": old},
+            ) if v.rule.name == "exact-plan-choice"
+        ]
+        return verdict
+
     def test_identical_choices_do_not_gate(self):
         export = self._optimize_export("alexnet")
-        rows = compare(export, export)
-        choice_rows = [r for r in rows if "plan_choice" in r["key"]]
-        assert choice_rows
-        assert not has_regression(choice_rows)
+        verdict = self._plan_choice_verdict(export, export)
+        assert verdict.status == "pass"
+        assert "over 4 shared" in verdict.note
 
     def test_flipped_choice_is_a_regression(self):
-        rows = compare(
-            self._optimize_export("alexnet"),
+        verdict = self._plan_choice_verdict(
             self._optimize_export("vgg16"),
+            self._optimize_export("alexnet"),
         )
-        flipped = [
-            r for r in rows if "plan_choice" in r["key"] and r["regression"]
-        ]
-        assert flipped, "plan-choice flip not flagged"
+        assert verdict.status == "breach", "plan-choice flip not flagged"
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.observe import (
     write_chrome_trace,
 )
 from repro.observe.ledger import BARRIER_KINDS, EVENT_KINDS, FLUSH_KINDS
+from repro.observe.slo import load_slo_source, resolve_metric
 from repro.trace import Tracer, span_from_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -666,6 +667,51 @@ def test_slo_baseline_ratio_and_equal():
     dirty = evaluate_slo(rules, drifted, baseline=baseline)
     statuses = {v.rule.name: v.status for v in dirty}
     assert statuses == {"drift": "breach", "exact": "breach"}
+
+
+def test_slo_baseline_ratio_compares_rows_by_position(tmp_path):
+    """A list-of-rows selection compares row by row against the
+    baseline row at the same position; breaches are reported per row.
+    A row lacking the field keeps its position as a gap."""
+    kernels = os.path.join(REPO_ROOT, "BENCH_kernels.json")
+    rule = SloRule(name="batched", metric="results.batched_seconds",
+                   comparator="<=", threshold=3.0,
+                   against="baseline-ratio")
+    (same,) = evaluate_slo([rule], kernels, baseline=kernels)
+    assert same.status == "pass"
+    with open(kernels) as fh:
+        slowed = json.load(fh)
+    slowed["results"][1]["batched_seconds"] *= 3.1
+    (slow,) = evaluate_slo([rule], slowed, baseline=kernels)
+    assert slow.status == "breach"
+    assert set(slow.details) == {"[1]"}
+    assert "results.batched_seconds[1]" in render_slo([slow])
+    gap = {"results": [{"other": 1.0}, {"batched_seconds": 9.0}]}
+    base = {"results": [{"batched_seconds": 1.0},
+                        {"batched_seconds": 9.0}]}
+    (aligned,) = evaluate_slo([rule], gap, baseline=base)
+    assert aligned.status == "pass"
+
+
+def test_slo_series_sum_reducer():
+    registry = MetricsRegistry()
+    registry.histogram("op_seconds", op_type="conv").observe(1.0)
+    registry.histogram("op_seconds", op_type="conv").observe(2.0)
+    registry.histogram("op_seconds", op_type="fc").observe(0.5)
+    envelope = {"metrics": registry.export()}
+    assert resolve_metric(
+        "series:op_seconds{op_type=conv}.sum", load_slo_source(envelope)
+    ) == 3.0
+    slower = MetricsRegistry()
+    slower.histogram("op_seconds", op_type="conv").observe(10.0)
+    slower.histogram("op_seconds", op_type="fc").observe(0.5)
+    rule = SloRule(name="ops", metric="series:op_seconds.sum",
+                   comparator="<=", threshold=3.0,
+                   against="baseline-ratio")
+    (verdict,) = evaluate_slo([rule], {"metrics": slower.export()},
+                              baseline=envelope)
+    assert verdict.status == "breach"
+    assert list(verdict.details) == ['{"op_type": "conv"}']
 
 
 def test_default_ruleset_loads_and_self_gates():

@@ -1,7 +1,10 @@
 """Run reports: waterlines, Section 4.1 crash attribution, and the
-regression-gate compare — including the CLI exit codes CI relies on."""
+``report --slo RULES TARGET --baseline OLD`` regression gates —
+including the CLI exit codes CI relies on."""
 
+import copy
 import json
+import os
 
 import pytest
 
@@ -21,16 +24,17 @@ from repro.exceptions import (
 )
 from repro.memory.model import GB, MemoryBudget
 from repro.metrics import MetricsRegistry, find_series, series_peak
+from repro.observe import evaluate_slo, has_breach, load_rules, render_slo
 from repro.report import (
     attribute_crash,
-    compare,
-    has_regression,
-    render_compare,
     render_crash_report,
     render_report,
     render_waterline,
     render_waterlines,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEFAULT_RULES = os.path.join(REPO_ROOT, "slo", "default.yaml")
 
 
 def _budget(user=1 * GB, core=1 * GB, storage=1 * GB, dl=1 * GB,
@@ -225,28 +229,92 @@ def _envelope(scale=1.0):
     }
 
 
+def _gate(new, old):
+    return evaluate_slo(load_rules(DEFAULT_RULES), new, baseline=old)
+
+
 def test_compare_identical_has_no_regressions():
-    rows = compare(_envelope(), _envelope(), gate=1.15)
-    assert rows and not has_regression(rows)
+    verdicts = _gate(_envelope(), _envelope())
+    assert not has_breach(verdicts)
+    assert any(v.status == "pass" for v in verdicts)
 
 
 def test_compare_flags_synthetic_slowdown():
-    rows = compare(_envelope(), _envelope(scale=2.0), gate=1.15)
-    assert has_regression(rows)
-    regressed = {row["key"] for row in rows if row["regression"]}
-    assert "results.wall_seconds" in regressed
-    assert "results.speedup" in regressed  # halved, higher-is-better
-    assert any(key.startswith("tasks_total{") for key in regressed)
-    text = render_compare(rows, gate=1.15)
-    assert "REGRESSION" in text
+    # 4x past the rules' 3x cross-machine factor, in each bad direction
+    verdicts = _gate(_envelope(scale=4.0), _envelope())
+    assert has_breach(verdicts)
+    breached = {v.rule.metric for v in verdicts if v.status == "breach"}
+    assert "results.wall_seconds" in breached
+    assert "results.speedup" in breached  # quartered, higher-is-better
+    assert "series:tasks_total.last" in breached
+    assert "breach" in render_slo(verdicts)
 
 
 def test_compare_ignores_capacity_fields():
+    # No rule names a field, so nothing gates it — whatever its name.
     old, new = _envelope(), _envelope()
     old["results"]["storage_capacity_bytes"] = 100
     new["results"]["storage_capacity_bytes"] = 100_000
-    rows = compare(old, new, gate=1.15)
-    assert not has_regression(rows)
+    assert not has_breach(_gate(new, old))
+
+
+#: One gated metric per committed bench, pushed 3.1x in its bad
+#: direction (or one exact field flipped): ``(path, how)`` where path
+#: walks the envelope and ``how`` maps the old value to the new one.
+BENCH_BREAKS = {
+    "kernels": (("results", 0, "batched_seconds"), lambda v: v * 3.1),
+    "dataflow": (("results", 3, "serialized_bytes_per_row"),
+                 lambda v: v + 1),
+    "recovery": (("results", 1, "wall_seconds"), lambda v: v * 3.1),
+    "calibration": (("results", "memory_ratio:staged:user"),
+                    lambda v: v * 3.1),
+    "parallel": (("results", "speedup:cores1:cpu4"), lambda v: v / 3.1),
+}
+
+
+@pytest.mark.parametrize("bench", sorted(BENCH_BREAKS))
+def test_committed_bench_gates_through_slo(bench, tmp_path, capsys):
+    """Each committed BENCH_*.json passes the default rules against
+    itself, and a copy with one gated metric pushed past its rule
+    exits 1 — the CI gate shape, end to end through the CLI."""
+    from repro.cli import main
+
+    baseline = os.path.join(REPO_ROOT, f"BENCH_{bench}.json")
+    assert main(["report", "--slo", DEFAULT_RULES, baseline,
+                 "--baseline", baseline]) == 0
+    with open(baseline) as fh:
+        broken = json.load(fh)
+    path, how = BENCH_BREAKS[bench]
+    parent = broken
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = how(parent[path[-1]])
+    target = tmp_path / "fresh.json"
+    target.write_text(json.dumps(broken))
+    assert main(["report", "--slo", DEFAULT_RULES, str(target),
+                 "--baseline", baseline]) == 1
+    assert "[breach]" in capsys.readouterr().out
+
+
+def test_parallel_gate_skips_other_core_counts(tmp_path):
+    """A fresh parallel envelope from a host with another core count
+    shares no key with the baseline: the drift rules skip, even for a
+    collapsed speedup."""
+    baseline = os.path.join(REPO_ROOT, "BENCH_parallel.json")
+    with open(baseline) as fh:
+        envelope = json.load(fh)
+    other = copy.deepcopy(envelope)
+    other["results"] = {
+        key.replace(":cores1:", ":cores4:"): (
+            value / 10 if key.startswith("speedup") else value
+        )
+        for key, value in envelope["results"].items()
+    }
+    other["results"]["cores_available"] = 4
+    verdicts = {v.rule.name: v for v in _gate(other, envelope)}
+    assert not has_breach(verdicts.values())
+    assert verdicts["parallel-speedup-drift"].status == "skip"
+    assert verdicts["calibration-runtime-drift"].status == "skip"
 
 
 # ----------------------------------------------------------------------
@@ -266,11 +334,31 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     slow = tmp_path / "slow.json"
     old.write_text(json.dumps(_envelope(), default=str))
     same.write_text(json.dumps(_envelope(), default=str))
-    slow.write_text(json.dumps(_envelope(scale=2.0), default=str))
-    assert main(["report", "--compare", str(old), str(same)]) == 0
-    assert main(["report", "--compare", str(old), str(slow)]) == 1
+    slow.write_text(json.dumps(_envelope(scale=4.0), default=str))
+    gate = ["report", "--slo", DEFAULT_RULES]
+    assert main(gate + [str(same), "--baseline", str(old)]) == 0
+    assert main(gate + [str(slow), "--baseline", str(old)]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSION" in out
+    assert "[breach]" in out
+
+
+@pytest.mark.parametrize("missing", ["target", "baseline"])
+def test_cli_slo_missing_input_exits_2(tmp_path, capsys, missing):
+    """A mistyped path is a usage error (2), never the breach code
+    (1) a negated CI step would accept."""
+    from repro.cli import main
+
+    present = tmp_path / "run.json"
+    present.write_text(json.dumps(_envelope(), default=str))
+    absent = str(tmp_path / "typo.json")
+    target, baseline = (
+        (absent, str(present)) if missing == "target"
+        else (str(present), absent)
+    )
+    assert main(["report", "--slo", DEFAULT_RULES, target,
+                 "--baseline", baseline]) == 2
+    err = capsys.readouterr().err
+    assert "typo.json" in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_run_writes_v2_envelope_and_report_renders_it(
@@ -290,7 +378,8 @@ def test_cli_run_writes_v2_envelope_and_report_renders_it(
     assert main(["report", "--metrics-json", str(export)]) == 0
     out = capsys.readouterr().out
     assert "predicted vs observed peak" in out
-    # a run compared against itself passes any gate
+    # a run gated against itself passes every rule
     assert main([
-        "report", "--compare", str(export), str(export),
+        "report", "--slo", DEFAULT_RULES, str(export),
+        "--baseline", str(export),
     ]) == 0
